@@ -18,7 +18,7 @@ class TestImageDistillation:
         plain = run_image_experiment(distillation=False)
         distilled = run_image_experiment(distillation=True)
         rows = []
-        for p in plain.fetches:
+        for p in plain.figures["fetches"]:
             d = distilled.result_for(p.name)
             rows.append([p.name, f"{p.original_bytes}B",
                          f"{p.latency * 1000:.0f}ms",

@@ -23,7 +23,7 @@ N_PACKETS = 20_000
 
 @pytest.fixture(scope="module")
 def ladder():
-    results = {name: run_engine_microbench(name, n_packets=N_PACKETS)
+    results = {name: run_engine_microbench(engine=name, n_packets=N_PACKETS)
                for name in ENGINES}
     builtin = results["builtin"].us_per_packet
     rows = [[name, f"{r.us_per_packet:.2f}",

@@ -19,16 +19,17 @@ def main() -> None:
     print(f"figure 6 (scaled to {duration:.0f} s) — "
           f"audio bandwidth at the client:")
     result = run_audio_experiment(duration=duration)
-    for sample in result.bandwidth_series:
+    for sample in result.figures["bandwidth_series"]:
         bar = "#" * int(sample.kbps / 4)
         name = FORMAT_NAMES[sample.quality]
         print(f"  t={sample.time:5.1f}s {sample.kbps:7.1f} kbit/s "
               f"{name:14s} {bar}")
 
-    print(f"\nframes: {result.frames_received}/{result.frames_sent} "
+    figs = result.figures
+    print(f"\nframes: {figs['frames_received']}/{figs['frames_sent']} "
           f"received; every frame restored to 16-bit stereo: "
-          f"{result.restored}")
-    print(f"silent periods with adaptation: {result.silent_periods}")
+          f"{figs['restored']}")
+    print(f"silent periods with adaptation: {figs['silent_periods']}")
 
     print("\nfigure 7 — silent periods under constant load, with vs "
           "without adaptation:")

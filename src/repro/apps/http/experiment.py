@@ -19,38 +19,36 @@ from __future__ import annotations
 from typing import Callable
 
 from ...asps.http import http_gateway_asp
-from ...experiments.compat import keyword_only
-from ...experiments.result import LegacyResult
+from ...experiments.result import ExperimentResult
 from ...net.topology import Network
 from ...obs import Observability
 from ...runtime.deployment import Deployment
 from .client import HttpClientWorker
 from .gateway_c import BuiltinGateway
-from .server import HTTP_PORT, HttpServer
+from .server import HttpServer
 from .trace import Trace, generate_trace
 
 MODES = ("single", "asp", "builtin", "disjoint")
 
 
-class HttpExperimentResult(LegacyResult):
+class HttpExperimentResult(ExperimentResult):
     """Unified result of one figure 8 configuration.
 
     ``params``: ``mode``, ``n_clients``, ``duration``, ``warmup``;
     ``figures``: ``throughput_rps``, ``mean_latency_s``,
     ``per_server_served``, ``completed``, ``failures`` and the
     wall-clock ``codegen_ms`` (volatile: excluded from the canonical
-    record).  Flat legacy attribute access keeps working for one
-    release.
+    record).
     """
 
     _EXPERIMENT = "http"
-    _PARAM_FIELDS = ("mode", "n_clients", "duration", "warmup")
     _VOLATILE_FIGURES = ("codegen_ms",)
 
     @property
     def balance_ratio(self) -> float:
         """min/max served across servers (1.0 = perfectly balanced)."""
-        counts = [c for c in self.per_server_served.values() if c]
+        counts = [c for c in self.figures["per_server_served"].values()
+                  if c]
         if len(counts) < 2:
             return 1.0
         return min(counts) / max(counts)
@@ -64,7 +62,6 @@ class HttpExperimentResult(LegacyResult):
 GATEWAY_CPU_S = 160e-6
 
 
-@keyword_only("mode", "n_clients")
 def run_http_experiment(*, mode: str, n_clients: int,
                         duration: float = 30.0, warmup: float = 5.0,
                         n_servers: int = 2, workers_per_client: int = 1,
@@ -146,23 +143,24 @@ def run_http_experiment(*, mode: str, n_clients: int,
     latencies = [r.latency for w in workers for r in w.completed
                  if warmup <= r.completed < duration]
     return HttpExperimentResult(
+        name="http",
         seed=seed,
-        mode=mode,
-        n_clients=n_clients,
-        duration=duration,
-        warmup=warmup,
-        throughput_rps=completed / (duration - warmup),
-        mean_latency_s=sum(latencies) / len(latencies) if latencies
-        else 0.0,
-        per_server_served={s.host.name: s.requests_served
-                           for s in servers},
-        completed=completed,
-        failures=sum(w.failures for w in workers),
-        codegen_ms=codegen_ms,
+        params={"mode": mode, "n_clients": n_clients,
+                "duration": duration, "warmup": warmup},
+        figures={
+            "throughput_rps": completed / (duration - warmup),
+            "mean_latency_s": sum(latencies) / len(latencies)
+            if latencies else 0.0,
+            "per_server_served": {s.host.name: s.requests_served
+                                  for s in servers},
+            "completed": completed,
+            "failures": sum(w.failures for w in workers),
+            "codegen_ms": codegen_ms,
+        },
         metrics=net.metrics_snapshot())
 
 
-class Fig8SweepResult(LegacyResult):
+class Fig8SweepResult(ExperimentResult):
     """Unified result of the figure 8 sweep.  ``figures["curves"]``
     maps mode to a list of per-load summaries (client count,
     throughput, latency, balance)."""
@@ -173,7 +171,6 @@ class Fig8SweepResult(LegacyResult):
         return self.figures["curves"][mode]
 
 
-@keyword_only("client_counts")
 def run_fig8_sweep(*, client_counts: list[int],
                    modes: tuple[str, ...] = ("single", "asp", "builtin"),
                    duration: float = 30.0, backend: str = "closure",

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from ...asps.images import IMAGE_PORT, image_distiller_asp
-from ...experiments.result import LegacyResult
+from ...experiments.result import ExperimentResult
 from ...interp.image_prims import decode_image
 from ...lang.errors import PlanPError
 from ...net.addresses import HostAddr
@@ -130,14 +130,12 @@ class ImageClient:
             width=pixels.shape[1], height=pixels.shape[0]))
 
 
-class ImageExperimentResult(LegacyResult):
+class ImageExperimentResult(ExperimentResult):
     """Unified result of the §5 distillation run.  ``params``:
     ``distillation``, ``slow_kbps``; ``figures``: ``fetches`` (list of
-    :class:`FetchResult`), ``distilled_count``.  Flat legacy attribute
-    access keeps working for one release."""
+    :class:`FetchResult`), ``distilled_count``."""
 
     _EXPERIMENT = "images"
-    _PARAM_FIELDS = ("distillation", "slow_kbps")
 
     def _rehydrate(self) -> None:
         fetches = self.figures.get("fetches")
@@ -145,12 +143,13 @@ class ImageExperimentResult(LegacyResult):
             self.figures["fetches"] = [FetchResult(**f) for f in fetches]
 
     def mean_latency(self) -> float:
-        if not self.fetches:
+        fetches = self.figures["fetches"]
+        if not fetches:
             return 0.0
-        return sum(f.latency for f in self.fetches) / len(self.fetches)
+        return sum(f.latency for f in fetches) / len(fetches)
 
     def result_for(self, name: str) -> FetchResult:
-        return next(f for f in self.fetches if f.name == name)
+        return next(f for f in self.figures["fetches"] if f.name == name)
 
 
 def run_image_experiment(*, distillation: bool = True,
@@ -191,9 +190,13 @@ def run_image_experiment(*, distillation: bool = True,
     net.run(until=0.1 + 3.0 * len(library) + 10.0)
 
     return ImageExperimentResult(
+        name="images",
         seed=seed,
-        distillation=distillation,
-        slow_kbps=int(slow_link_bps // 1000),
-        fetches=client.results,
-        distilled_count=sum(1 for f in client.results if f.distilled),
+        params={"distillation": distillation,
+                "slow_kbps": int(slow_link_bps // 1000)},
+        figures={
+            "fetches": client.results,
+            "distilled_count": sum(1 for f in client.results
+                                   if f.distilled),
+        },
         metrics=net.metrics_snapshot())

@@ -8,12 +8,12 @@ defines that shape:
 * :class:`ExperimentResult` — ``name`` / ``params`` / ``seed`` /
   ``metrics`` / ``figures``, with ``to_json()`` / ``from_json()``
   producing canonical (sorted, compact) JSON;
-* per-app shims (``AudioExperimentResult`` & co., defined next to
-  their experiments) that subclass it and keep the legacy attribute
-  surface working: ``result.silent_periods`` still resolves, routed
-  into ``params`` / ``figures``.  The legacy attributes are
-  **deprecated** and will be dropped one release after 1.x; new code
-  reads ``result.figures[...]``.
+* per-app subclasses (``AudioExperimentResult`` & co., defined next to
+  their experiments) that add only domain helpers (``goodput``,
+  ``dominant_quality_between``, ...) and the rehydration of their
+  figure types.  What an experiment was asked to do is read from
+  ``result.params[...]``, what it measured from
+  ``result.figures[...]``; there is no other attribute surface.
 
 Determinism is part of the contract: ``record()`` is byte-identical
 for identical (code, params, seed), which is what lets the parallel
@@ -134,28 +134,8 @@ class ExperimentResult:
 
     #: registry key of the experiment that produced this result
     _EXPERIMENT: ClassVar[str] = ""
-    #: legacy attributes routed into ``params`` (deprecated surface)
-    _PARAM_FIELDS: ClassVar[tuple[str, ...]] = ()
     #: figure keys holding wall-clock values, kept out of ``record()``
     _VOLATILE_FIGURES: ClassVar[tuple[str, ...]] = ()
-
-    # -- legacy attribute shim --------------------------------------------------
-
-    def __getattr__(self, attr: str) -> Any:
-        # Deprecated: pre-1.1 result dataclasses exposed their payload
-        # as flat attributes.  Route those reads into params/figures so
-        # existing callers keep working for one release.  Guard against
-        # recursion during unpickling, when __dict__ is not yet set.
-        if not attr.startswith("_"):
-            d = object.__getattribute__(self, "__dict__")
-            figures = d.get("figures")
-            if figures is not None and attr in figures:
-                return figures[attr]
-            params = d.get("params")
-            if params is not None and attr in params:
-                return params[attr]
-        raise AttributeError(
-            f"{type(self).__name__} has no attribute {attr!r}")
 
     # -- canonical serialization ------------------------------------------------
 
@@ -194,8 +174,8 @@ class ExperimentResult:
                     volatile: dict[str, Any] | None = None,
                     ) -> "ExperimentResult":
         """Rebuild a result from its stored form.  Subclasses rehydrate
-        their domain objects (samples, rows) so the legacy helper
-        methods keep working on loaded results."""
+        their domain objects (samples, rows) so the domain helper
+        methods work on loaded results."""
         result = cls.__new__(cls)
         figures = dict(record.get("figures", {}))
         if volatile:
@@ -217,21 +197,3 @@ class ExperimentResult:
         """Hook for subclasses: convert jsonified figures back to their
         in-memory types after :meth:`from_record`."""
 
-
-class LegacyResult(ExperimentResult):
-    """Base for the per-app shims: construct from the legacy flat
-    keyword fields, routing them into ``params`` / ``figures``.
-
-    ``AudioExperimentResult(adaptation=True, duration=45.0, ...)``
-    still works; the fields named in ``_PARAM_FIELDS`` land in
-    ``params`` and everything else in ``figures``.
-    """
-
-    def __init__(self, *, name: str = "", seed: int = 0,
-                 metrics: dict[str, Any] | None = None,
-                 **fields: Any):
-        params = {key: fields.pop(key) for key in self._PARAM_FIELDS
-                  if key in fields}
-        super().__init__(name=name or self._EXPERIMENT, params=params,
-                         seed=seed, metrics=metrics or {},
-                         figures=fields)

@@ -35,7 +35,7 @@ from ..obs import Observability
 from ..runtime.deployment import Deployment
 from ..runtime.lifecycle import (LifecycleManager, LifecyclePolicy,
                                  RolloutState)
-from .result import LegacyResult
+from .result import ExperimentResult
 
 #: Generation 1: the verified pass-through forwarder.
 GEN1_ASP = """\
@@ -59,13 +59,11 @@ channel network(ps : int, ss : unit, p : ip*udp*int*blob) is
 """
 
 
-class UpgradeResult(LegacyResult):
+class UpgradeResult(ExperimentResult):
     """Result of one rolling-upgrade drill.  ``figures`` carries the
     veto/promote verdicts and the delivery-stream digest."""
 
     _EXPERIMENT = "upgrade"
-    _PARAM_FIELDS = ("n_routers", "duration", "wire_check",
-                     "attempt_incompatible")
 
     @property
     def healthy(self) -> bool:
@@ -194,7 +192,10 @@ def run_upgrade_experiment(*, seed: int = 5, n_routers: int = 16,
             1 for e in net.obs.events.filter()
             if e.kind in ("rollout", "quarantine", "rollback")),
     }
-    return UpgradeResult(seed=seed, n_routers=n_routers,
-                         duration=duration, wire_check=wire_check,
-                         attempt_incompatible=attempt_incompatible,
-                         metrics=net.metrics_snapshot(), **figures)
+    return UpgradeResult(name="upgrade", seed=seed,
+                         params={"n_routers": n_routers,
+                                 "duration": duration,
+                                 "wire_check": wire_check,
+                                 "attempt_incompatible":
+                                     attempt_incompatible},
+                         figures=figures, metrics=net.metrics_snapshot())

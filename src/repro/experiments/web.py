@@ -46,7 +46,7 @@ from ..net.topology import Network
 from ..obs import Observability
 from ..runtime.deployment import Deployment
 from ..runtime.lifecycle import LifecycleManager, LifecyclePolicy
-from .result import LegacyResult
+from .result import ExperimentResult
 
 ATTACKS = ("none", "flash", "syn", "elephant")
 
@@ -65,14 +65,12 @@ SYN_FLOOD_RATE = 150.0
 SYN_BACKLOG = 64
 
 
-class WebResult(LegacyResult):
+class WebResult(ExperimentResult):
     """Unified result of one web overload cell.  ``params``: the
     scenario coordinates; ``figures``: goodput, shed/retry/abandon
     accounting, defense counters and the lifecycle verdict."""
 
     _EXPERIMENT = "web"
-    _PARAM_FIELDS = ("attack", "shedding", "n_good", "n_attackers",
-                     "duration", "warmup")
     #: execution strategy, not measurement
     _VOLATILE_FIGURES = ("segments",)
 
@@ -274,7 +272,8 @@ def run_web_experiment(*, attack: str = "none", shedding: bool = False,
                     and quarantined == 0),
         "segments": shard_segments,
     }
-    return WebResult(seed=seed, attack=attack, shedding=shedding,
-                     n_good=n_good, n_attackers=n_attackers,
-                     duration=duration, warmup=warmup,
-                     metrics=net.metrics_snapshot(), **figures)
+    return WebResult(name="web", seed=seed,
+                     params={"attack": attack, "shedding": shedding,
+                             "n_good": n_good, "n_attackers": n_attackers,
+                             "duration": duration, "warmup": warmup},
+                     figures=figures, metrics=net.metrics_snapshot())

@@ -8,10 +8,12 @@ back objects with the domain helper methods, not bare dicts).
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 from typing import Any, Callable
 
 from ..experiments.result import ExperimentResult
+from ..obs import Observability
 from .scenario import Scenario
 
 
@@ -48,10 +50,17 @@ def names() -> list[str]:
     return sorted(_REGISTRY)
 
 
-def run(scenario: Scenario) -> ExperimentResult:
-    """Run one scenario and stamp the result with its identity."""
+def run(scenario: Scenario, *,
+        obs: Observability | None = None) -> ExperimentResult:
+    """Run one scenario and stamp the result with its identity.
+
+    ``obs`` goes to entry points that take an observability scope, so
+    a caller can read the run's event log; the others ignore it."""
     reg = get(scenario.experiment)
-    result = reg.fn(seed=scenario.seed, **scenario.params)
+    params = dict(scenario.params)
+    if obs is not None and "obs" in inspect.signature(reg.fn).parameters:
+        params["obs"] = obs
+    result = reg.fn(seed=scenario.seed, **params)
     result.name = scenario.name
     result.seed = scenario.seed
     result.params = {**result.params, **scenario.params}
@@ -95,7 +104,7 @@ def _register_all() -> None:
 
     register("audio", result_cls=AudioExperimentResult,
              description="figure 5/6 audio adaptation run"
-             )(lambda *, seed, **p: run_audio_experiment(seed=seed, **p))
+             )(run_audio_experiment)
 
     @register("audio_gap_sweep", result_cls=GapSweepResult,
               description="figure 7 silent-period sweep over loads")
@@ -104,12 +113,13 @@ def _register_all() -> None:
         sweep = run_gap_sweep(load_levels_bps=load_levels_bps,
                               seed=seed, **params)
         return GapSweepResult(
-            seed=seed,
-            sweep={str(load): counts for load, counts in sweep.items()})
+            name="audio_gap_sweep", seed=seed,
+            figures={"sweep": {str(load): counts
+                               for load, counts in sweep.items()}})
 
     register("http", result_cls=HttpExperimentResult,
              description="one figure 8 HTTP cluster configuration"
-             )(lambda *, seed, **p: run_http_experiment(seed=seed, **p))
+             )(run_http_experiment)
 
     @register("http_fig8_sweep", result_cls=Fig8SweepResult,
               description="figure 8 throughput-vs-load sweep per mode")
@@ -119,23 +129,24 @@ def _register_all() -> None:
         curves = run_fig8_sweep(client_counts=client_counts,
                                 modes=tuple(modes), seed=seed, **params)
         return Fig8SweepResult(
-            seed=seed,
-            curves={mode: [{"n_clients": r.n_clients,
-                            "throughput_rps": r.throughput_rps,
-                            "mean_latency_s": r.mean_latency_s,
-                            "balance_ratio": r.balance_ratio,
-                            "completed": r.completed,
-                            "failures": r.failures}
-                           for r in results]
-                    for mode, results in curves.items()})
+            name="http_fig8_sweep", seed=seed,
+            figures={"curves": {
+                mode: [{"n_clients": r.params["n_clients"],
+                        "throughput_rps": r.figures["throughput_rps"],
+                        "mean_latency_s": r.figures["mean_latency_s"],
+                        "balance_ratio": r.balance_ratio,
+                        "completed": r.figures["completed"],
+                        "failures": r.figures["failures"]}
+                       for r in results]
+                for mode, results in curves.items()}})
 
     register("mpeg", result_cls=MpegExperimentResult,
              description="§3.3 point-to-point→multipoint MPEG run"
-             )(lambda *, seed, **p: run_mpeg_experiment(seed=seed, **p))
+             )(run_mpeg_experiment)
 
     register("images", result_cls=ImageExperimentResult,
              description="§5 image distillation over a slow link"
-             )(lambda *, seed, **p: run_image_experiment(seed=seed, **p))
+             )(run_image_experiment)
 
     @register("fig3", result_cls=Fig3Result,
               description="figure 3 codegen-time table for the ASPs")
@@ -143,34 +154,30 @@ def _register_all() -> None:
               repeats: int = 5) -> ExperimentResult:
         rows = fig3_codegen_table(backends=tuple(backends),
                                   repeats=repeats)
-        return Fig3Result(seed=seed, rows=rows)
+        return Fig3Result(name="fig3", seed=seed, figures={"rows": rows})
 
     register("microbench", result_cls=MicrobenchResult,
              description="§2.4 engine microbenchmark (one engine)"
-             )(lambda *, seed, **p: run_engine_microbench(seed=seed,
-                                                          **p))
+             )(run_engine_microbench)
 
     register("chaos", result_cls=ChaosResult,
              description="lifecycle/fault chaos drill (one profile)"
-             )(lambda *, seed, **p: run_chaos_experiment(seed=seed,
-                                                         **p))
+             )(run_chaos_experiment)
 
     register("scale", result_cls=ScaleResult,
              description="sharded-core ring-of-clusters scale run "
                          "(shard_segments picks the partition)"
-             )(lambda *, seed, **p: run_scale_experiment(seed=seed,
-                                                         **p))
+             )(run_scale_experiment)
 
     register("web", result_cls=WebResult,
              description="overload drill: flash/syn/elephant attacks "
                          "with in-network shedding on or off"
-             )(lambda *, seed, **p: run_web_experiment(seed=seed, **p))
+             )(run_web_experiment)
 
     register("upgrade", result_cls=UpgradeResult,
              description="rolling-upgrade drill: wire-compat veto "
                          "plus a compatible canary promotion"
-             )(lambda *, seed, **p: run_upgrade_experiment(seed=seed,
-                                                           **p))
+             )(run_upgrade_experiment)
 
 
 _register_all()

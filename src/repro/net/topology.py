@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable
 
-from .._compat import keyword_only_init
 from ..obs import Observability
 from .addresses import AddressAllocator, HostAddr
 from .link import Link, Segment
@@ -54,7 +53,6 @@ class Network:
     (default: contiguous blocks in construction order).
     """
 
-    @keyword_only_init("seed", "base_addr", "obs")
     def __init__(self, *, seed: int = 0, base_addr: str = "10.0.0.0",
                  obs: Observability | None = None, name: str = "net",
                  shard_segments: int = 1,

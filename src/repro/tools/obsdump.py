@@ -1,22 +1,24 @@
 """``obsdump`` — inspect the observability layer from the shell.
 
     python -m repro.tools.obsdump demo
-    python -m repro.tools.obsdump audio --quick
-    python -m repro.tools.obsdump http --quick --events-limit 50
-    python -m repro.tools.obsdump images --json out.json
-    python -m repro.tools.obsdump mpeg --quick
-    python -m repro.tools.obsdump microbench
-    python -m repro.tools.obsdump chaos --lifecycle
-    python -m repro.tools.obsdump upgrade --lifecycle
-    python -m repro.tools.obsdump fuzz --quick
+    python -m repro.tools.obsdump smoke/http-asp --events-limit 50
+    python -m repro.tools.obsdump smoke/images --json out.json
+    python -m repro.tools.obsdump chaos/drill-4 --lifecycle
+    python -m repro.tools.obsdump chaos/upgrade-16 --lifecycle
+    python -m repro.tools.obsdump web/syn-shed --overload
     python -m repro.tools.obsdump scale --shards 4
-    python -m repro.tools.obsdump web --quick --overload
 
-Each mode runs one scenario and dumps its metrics snapshot as sorted
-JSON on stdout; ``--events`` additionally prints the structured event
-log as JSON lines (``demo`` prints events by default — that is what it
-is for).  ``--json PATH`` writes ``{"metrics": ..., "events": [...]}``
-to a file instead, which is the shape the CI artifact uses.
+The argument names what to run: ``demo``, ``scale``, or any scenario
+of the harness (``python -m repro.tools.runx list`` prints them).  A
+scenario runs through the experiment registry with its own
+:class:`~repro.obs.Observability` scope, so the structured event log
+of every entry point that takes one is captured.
+
+Each run dumps its metrics snapshot as sorted JSON on stdout;
+``--events`` additionally prints the event log as JSON lines (``demo``
+prints events by default — that is what it is for).  ``--json PATH``
+writes ``{"metrics": ..., "events": [...]}`` to a file instead, which
+is the shape the CI artifact uses.
 
 ``demo`` builds a deliberately eventful little network: an ASP deployed
 over the wire, a congested bottleneck link dropping packets, and a
@@ -30,18 +32,12 @@ crossings per segment — instead of raw metrics (use ``--json`` for
 both).  Boundary-crossing tracing is enabled, so ``shard-boundary``
 events show up under ``--events``.
 
-``chaos`` runs the poisoned-ASP lifecycle drill (rollouts, breaker
-trips, quarantine, automatic rollback); ``upgrade`` runs the
-rolling-upgrade drill (a wire-incompatible generation vetoed before
-its canary window, a compatible one promoted).  Combined with
-``--lifecycle`` either prints the per-node lifecycle summary —
-rollout generations, vetoes, trips, and rollbacks folded from the
-event log — instead of raw metrics.
-
-``web`` runs the overload drill (a SYN flood against the cluster with
-the shedding defense on); ``--overload`` prints the per-node
-shed/expired fold with the shedding ASP's lifecycle verdict, and
-``--json`` always includes it as the ``overload`` key.
+``--lifecycle`` folds the event log into per-node rollout
+generations, vetoes, breaker trips and rollbacks (the ``chaos/``
+drills); ``--overload`` folds it into per-node shed/expired decisions
+with the shedding ASP's lifecycle verdict (the ``web/`` cells).
+Either prints the fold instead of raw metrics, and ``--json`` adds it
+under the ``lifecycle`` / ``overload`` key.
 """
 
 from __future__ import annotations
@@ -50,10 +46,11 @@ import argparse
 import json
 import sys
 
-from ..obs import GLOBAL
+from ..harness import matrix, run
+from ..obs import Observability
 
-MODES = ("demo", "audio", "http", "images", "mpeg", "microbench",
-         "chaos", "upgrade", "fuzz", "scale", "web")
+#: the tool's own runs; every other name is a harness scenario
+MODES = ("demo", "scale")
 
 
 # ---------------------------------------------------------------------------
@@ -96,62 +93,16 @@ def _run_demo() -> tuple[dict, list]:
     return net.metrics_snapshot(), events
 
 
-def _run_audio(quick: bool) -> tuple[dict, list]:
-    from ..apps.audio import run_audio_experiment
-
-    result = run_audio_experiment(duration=10.0 if quick else 45.0)
-    return result.metrics, []
 
 
-def _run_http(quick: bool) -> tuple[dict, list]:
-    from ..apps.http import run_http_experiment
-
-    result = run_http_experiment(mode="asp", n_clients=4,
-                                 duration=4.0 if quick else 12.0,
-                                 warmup=1.0 if quick else 3.0)
-    return result.metrics, []
 
 
-def _run_images(quick: bool) -> tuple[dict, list]:
-    from ..apps.images import run_image_experiment
-
-    result = run_image_experiment(distillation=True)
-    return result.metrics, []
 
 
-def _run_mpeg(quick: bool) -> tuple[dict, list]:
-    from ..apps.mpeg import run_mpeg_experiment
-
-    result = run_mpeg_experiment(use_asps=True, n_clients=3,
-                                 duration=5.0 if quick else 15.0)
-    return result.metrics, []
 
 
-def _run_chaos(quick: bool) -> tuple[dict, list]:
-    """The poisoned-ASP lifecycle drill, with its full event log."""
-    from ..experiments.chaos import run_chaos_experiment
-    from ..obs import Observability
-
-    obs = Observability()
-    result = run_chaos_experiment(profile="drill",
-                                  n_routers=4 if quick else 16,
-                                  duration=8.0 if quick else 12.0,
-                                  seed=5, obs=obs)
-    events = [record.to_dict() for record in obs.events.filter()]
-    return result.metrics, events
 
 
-def _run_upgrade(quick: bool) -> tuple[dict, list]:
-    """The rolling-upgrade drill: wire-compat veto + promotion, with
-    its full event log (the CI veto/rollout artifact)."""
-    from ..experiments.upgrade import run_upgrade_experiment
-    from ..obs import Observability
-
-    obs = Observability()
-    result = run_upgrade_experiment(n_routers=4 if quick else 16,
-                                    duration=8.0, seed=5, obs=obs)
-    events = [record.to_dict() for record in obs.events.filter()]
-    return result.metrics, events
 
 
 def lifecycle_summary(events: list[dict]) -> dict:
@@ -209,20 +160,6 @@ def lifecycle_summary(events: list[dict]) -> dict:
             "nodes": {name: nodes[name] for name in sorted(nodes)}}
 
 
-def _run_web(quick: bool) -> tuple[dict, list]:
-    """The overload drill (SYN flood with the shedding defense on),
-    with its event log — shed/expired decisions at the endpoint,
-    lifecycle events at the gateway."""
-    from ..experiments.web import run_web_experiment
-    from ..obs import Observability
-
-    obs = Observability()
-    result = run_web_experiment(attack="syn", shedding=True,
-                                duration=5.0 if quick else 10.0,
-                                warmup=1.5 if quick else 2.5,
-                                seed=17, obs=obs)
-    events = [record.to_dict() for record in obs.events.filter()]
-    return result.metrics, events
 
 
 def overload_summary(events: list[dict]) -> dict:
@@ -260,32 +197,28 @@ def overload_summary(events: list[dict]) -> dict:
             "nodes": {name: nodes[name] for name in sorted(nodes)}}
 
 
-def _run_fuzz(quick: bool) -> tuple[dict, list]:
-    """A short differential-fuzzing campaign; the snapshot shows the
-    ``fuzz.*`` counters (programs, streams, pairs, divergences,
-    minimizer steps) a real ``fuzzx`` run would emit."""
-    from ..fuzz import run_campaign
-
-    run_campaign(7, budget_s=0.0, min_pairs=40 if quick else 200,
-                 minimize=False)
-    events = [record.to_dict() for record in GLOBAL.events.filter()]
-    return GLOBAL.snapshot(), events
 
 
-def _run_scale(quick: bool, shards: int) -> tuple[dict, list, dict]:
+def _run_scale(shards: int) -> tuple[dict, list, dict]:
     """The ring-of-clusters workload on the sharded core, with
     boundary tracing on and a per-segment window summary."""
     from ..experiments.scale import build_scale_net, scale_until
 
-    params = dict(n_clusters=4 if quick else 8,
-                  hosts_per_cluster=3 if quick else 6,
-                  packets_per_host=4)
+    params = dict(n_clusters=8, hosts_per_cluster=6, packets_per_host=4)
     net = build_scale_net(params=params, seed=7, shard_segments=shards)
     if net._shard is not None:
         net._shard.trace_boundary = True
     net.run(until=scale_until(params))
     events = [record.to_dict() for record in net.obs.events.filter()]
     return net.metrics_snapshot(), events, shard_summary(net)
+
+
+def _run_scenario(scenario) -> tuple[dict, list]:
+    """One harness scenario through the registry, with its event log."""
+    obs = Observability()
+    result = run(scenario, obs=obs)
+    events = [record.to_dict() for record in obs.events.filter()]
+    return result.metrics, events
 
 
 def shard_summary(net) -> dict:
@@ -314,14 +247,6 @@ def shard_summary(net) -> dict:
     }
 
 
-def _run_microbench(quick: bool) -> tuple[dict, list]:
-    from ..experiments.microbench import run_engine_microbench
-
-    n = 2_000 if quick else 20_000
-    for engine in ("interpreter", "closure", "source", "builtin"):
-        run_engine_microbench(engine=engine, n_packets=n)
-    events = [record.to_dict() for record in GLOBAL.events.filter()]
-    return GLOBAL.snapshot(), events
 
 
 # ---------------------------------------------------------------------------
@@ -333,9 +258,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.tools.obsdump",
         description="dump metrics snapshots and event logs")
-    parser.add_argument("mode", choices=MODES, nargs="?", default="demo")
-    parser.add_argument("--quick", action="store_true",
-                        help="shrink scenario durations")
+    parser.add_argument("mode", nargs="?", default="demo",
+                        metavar="demo|scale|SCENARIO",
+                        help="the tool's demo network, the sharded "
+                             "scale run, or a harness scenario name")
     parser.add_argument("--events", action="store_true",
                         help="also print the event log as JSON lines")
     parser.add_argument("--events-limit", type=int, default=None,
@@ -357,40 +283,27 @@ def main(argv: list[str] | None = None) -> int:
                              "the per-segment window summary")
     args = parser.parse_args(argv)
 
+    scenarios = {s.name: s for s in matrix("all")}
+    if args.mode not in MODES and args.mode not in scenarios:
+        parser.error(f"unknown mode or scenario {args.mode!r}; pick "
+                     f"from {', '.join([*MODES, *sorted(scenarios)])}")
+
     shards_doc = None
+    show_events = args.events
     if args.mode == "demo":
         metrics, events = _run_demo()
         show_events = True
-    elif args.mode == "microbench":
-        metrics, events = _run_microbench(args.quick)
-        show_events = args.events
-    elif args.mode == "chaos":
-        metrics, events = _run_chaos(args.quick)
-        show_events = args.events
-    elif args.mode == "upgrade":
-        metrics, events = _run_upgrade(args.quick)
-        show_events = args.events
-    elif args.mode == "fuzz":
-        metrics, events = _run_fuzz(args.quick)
-        show_events = args.events
-    elif args.mode == "web":
-        metrics, events = _run_web(args.quick)
-        show_events = args.events
     elif args.mode == "scale":
         metrics, events, shards_doc = _run_scale(
-            args.quick, args.shards if args.shards is not None else 2)
-        show_events = args.events
+            args.shards if args.shards is not None else 2)
     else:
-        runner = {"audio": _run_audio, "http": _run_http,
-                  "images": _run_images, "mpeg": _run_mpeg}[args.mode]
-        metrics, events = runner(args.quick)
-        show_events = args.events and events
+        metrics, events = _run_scenario(scenarios[args.mode])
 
     if args.json:
         doc = {"mode": args.mode, "metrics": metrics, "events": events}
         if args.lifecycle:
             doc["lifecycle"] = lifecycle_summary(events)
-        if args.overload or args.mode == "web":
+        if args.overload:
             doc["overload"] = overload_summary(events)
         if shards_doc is not None:
             doc["shards"] = shards_doc

@@ -47,14 +47,14 @@ class TestMicrobenchHarness:
                                         "source", "builtin"])
     def test_all_engines_run(self, engine):
         result = run_engine_microbench(engine=engine, n_packets=500)
-        assert result.packets == 500
+        assert result.params["packets"] == 500
         assert result.us_per_packet > 0
         assert result.packets_per_second > 0
 
     def test_seed_accepted_for_harness_uniformity(self):
         result = run_engine_microbench(engine="builtin", n_packets=100,
                                        seed=5)
-        assert result.packets == 100
+        assert result.params["packets"] == 100
 
     def test_bridge_asp_verifies(self):
         from repro.analysis import verify_report

@@ -37,11 +37,11 @@ class TestFig6Shape:
         assert fig6.dominant_quality_between(12, 14) == FMT_MONO8
 
     def test_client_app_never_sees_degraded_frames(self, fig6):
-        assert fig6.restored
+        assert fig6.figures["restored"]
 
     def test_no_frame_loss_with_adaptation(self, fig6):
-        assert fig6.frames_received == fig6.frames_sent
-        assert fig6.silent_periods == 0
+        assert fig6.figures["frames_received"] == fig6.figures["frames_sent"]
+        assert fig6.figures["silent_periods"] == 0
 
 
 class TestFig7Gaps:
@@ -51,16 +51,18 @@ class TestFig7Gaps:
                                        constant_load_bps=heavy)
         with_asp = run_audio_experiment(adaptation=True, duration=25.0,
                                         constant_load_bps=heavy)
-        assert without.silent_periods > 10
-        assert with_asp.silent_periods < without.silent_periods / 5
-        assert with_asp.frames_received > without.frames_received
+        assert without.figures["silent_periods"] > 10
+        assert with_asp.figures["silent_periods"] \
+            < without.figures["silent_periods"] / 5
+        assert with_asp.figures["frames_received"] \
+            > without.figures["frames_received"]
 
     def test_no_load_no_gaps_either_way(self):
         for adaptation in (False, True):
             result = run_audio_experiment(adaptation=adaptation,
                                           duration=10.0,
                                           constant_load_bps=0)
-            assert result.silent_periods == 0
+            assert result.figures["silent_periods"] == 0
 
 
 class TestBackends:
@@ -69,4 +71,4 @@ class TestBackends:
         result = run_audio_experiment(duration=20.0, backend=backend,
                                       constant_load_bps=1_700_000)
         assert result.dominant_quality_between(3, 19) == FMT_MONO8
-        assert result.restored
+        assert result.figures["restored"]

@@ -1,7 +1,5 @@
 """Failure injection: lossy media, dying servers, malformed traffic."""
 
-import pytest
-
 from repro.apps.http import HttpClientWorker, HttpServer, generate_trace
 from repro.apps.mpeg import run_mpeg_experiment
 from repro.asps import audio_client_asp, audio_router_asp
@@ -199,4 +197,4 @@ class TestMalformedTraffic:
     def test_monitor_ignores_malformed_queries(self):
         result = run_mpeg_experiment(use_asps=True, n_clients=2,
                                      duration=10.0)
-        assert result.modes == ["direct", "shared"]
+        assert result.figures["modes"] == ["direct", "shared"]

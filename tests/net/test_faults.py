@@ -33,7 +33,7 @@ def send_one(net, src, dst):
     tap = got.append
     dst.delivery_taps.append(tap)
     src.ip_send(udp_packet(src.address, dst.address, 1, 7, b"x"))
-    net.sim.run_until_idle()
+    net.sim.run(max_events=10_000_000)
     dst.delivery_taps.remove(tap)
     return len(got)
 
@@ -48,7 +48,7 @@ class TestLinkFaults:
         assert send_one(net, a, b) == 1
         link.up = False
         a.ip_send(udp_packet(a.address, b.address, 1, 7, b"y"))
-        net.sim.run_until_idle()
+        net.sim.run(max_events=10_000_000)
         assert b.stats.delivered == 1  # nothing new arrived
         assert link.tx_queue(a.interfaces[0]).stats.packets_dropped >= 1
         link.up = True
@@ -64,7 +64,7 @@ class TestLinkFaults:
         for i in range(5):
             a.ip_send(udp_packet(a.address, b.address, 1, 7, b"z" * 100))
         link.up = False
-        net.sim.run_until_idle()
+        net.sim.run(max_events=10_000_000)
         assert b.stats.delivered == 0
 
     def test_segment_down_and_up(self):
@@ -129,12 +129,12 @@ class TestNodeCrash:
         for _ in range(5):
             a.ip_send(udp_packet(a.address, b.address, 1, 7, b"q" * 100))
         a.crash()
-        net.sim.run_until_idle()
+        net.sim.run(max_events=10_000_000)
         assert b.stats.delivered <= 1  # at most the frame on the wire
         assert a.stats.crashes == 1
         # Traffic at a crashed node is dropped, not processed.
         b.ip_send(udp_packet(b.address, a.address, 7, 1, b"r"))
-        net.sim.run_until_idle()
+        net.sim.run(max_events=10_000_000)
         assert a.stats.dropped_down >= 1
         a.restart()
         assert a.stats.restarts == 1
@@ -236,7 +236,7 @@ class TestPoisonAsp:
         from repro.net.packet import tcp_packet
         for _ in range(4):
             a.ip_send(tcp_packet(a.address, b.address, 1, 80, b"x"))
-        net.sim.run_until_idle()
+        net.sim.run(max_events=10_000_000)
         routed_via_r1 = layer.stats.packets_processed
         assert routed_via_r1 == 4  # the seed routes a->b via r1
         assert layer.stats.runtime_errors == routed_via_r1 // 2
@@ -245,7 +245,7 @@ class TestPoisonAsp:
         before = layer.stats.runtime_errors
         for _ in range(4):
             a.ip_send(tcp_packet(a.address, b.address, 1, 80, b"x"))
-        net.sim.run_until_idle()
+        net.sim.run(max_events=10_000_000)
         assert layer.stats.runtime_errors == before
         with pytest.raises(ValueError):
             net.faults.poison_asp(r2)  # nothing installed there

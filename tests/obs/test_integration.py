@@ -1,5 +1,9 @@
 """Observability wired through the network stack, end to end."""
 
+import json
+
+import pytest
+
 from repro.net import Network
 from repro.net.packet import udp_packet
 from repro.net.tcp import TcpError
@@ -311,3 +315,39 @@ class TestShardSummary:
             params=dict(n_clusters=2, hosts_per_cluster=2,
                         packets_per_host=1), seed=7)
         assert shard_summary(net)["segments"] == []
+
+
+class TestObsdumpCli:
+    """``obsdump <scenario>``: any harness scenario, run through the
+    registry with its own observability scope."""
+
+    def test_scenario_json_carries_metrics_and_events(self, tmp_path):
+        from repro.tools.obsdump import main
+
+        out = tmp_path / "dump.json"
+        assert main(["smoke/http-asp", "--json", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["mode"] == "smoke/http-asp"
+        assert doc["metrics"]["sim.now"] > 0.0
+        assert doc["events"]
+        assert "lifecycle" not in doc and "overload" not in doc
+
+    def test_upgrade_drill_lifecycle_records_the_veto(self, capsys):
+        from repro.tools.obsdump import main
+
+        assert main(["chaos/upgrade-16", "--lifecycle"]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["totals"]["vetoed"] == 1
+        assert summary["vetoes"][0]["verdict"].startswith("incompatible")
+
+    def test_unknown_name_lists_the_scenarios(self, capsys):
+        from repro.tools.obsdump import main
+
+        with pytest.raises(SystemExit) as exit_info:
+            main(["no/such"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "'no/such'" in err
+        for name in ("demo", "scale", "smoke/http-asp",
+                     "chaos/upgrade-16", "web/syn-shed"):
+            assert name in err

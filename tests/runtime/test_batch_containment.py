@@ -54,7 +54,7 @@ def burst(net, layer, packets):
             else:
                 layer.node.standard_processing(p, None)
     net.sim.schedule(0.0, fire)
-    net.sim.run_until_idle()
+    net.sim.run(max_events=10_000_000)
 
 
 class TestMalformedRowContainment:
@@ -79,7 +79,7 @@ class TestMalformedRowContainment:
             # drain runs: batch decode meets a byte that is not there.
             self.bad.payload = b""
         net.sim.schedule(0.0, fire)
-        net.sim.run_until_idle()
+        net.sim.run(max_events=10_000_000)
         return net, r, layer, got
 
     def test_sixty_three_rows_survive_one_malformed(self):
@@ -105,7 +105,7 @@ class TestMalformedRowContainment:
             (layer.wants(p, None), layer.process(p, None))
             for p in packets])
         self.bad.payload = b""
-        net.sim.run_until_idle()
+        net.sim.run(max_events=10_000_000)
         before = dataclasses.asdict(layer.stats)
         # A fresh, intact batch right after the fault must run clean
         # through the batch tier (not a degraded per-packet replay).
@@ -171,7 +171,7 @@ class TestBreakerTripMidBatch:
             # which the batch path must unwind on a mid-batch trip.
             net.sim.schedule(0.0, lambda: [r.receive(p, None)
                                            for p in packets])
-            net.sim.run_until_idle()
+            net.sim.run(max_events=10_000_000)
             return r, layer, manager, got
         finally:
             node_mod.ROUTER_BATCH_SIZE = old
