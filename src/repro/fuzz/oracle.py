@@ -1,20 +1,23 @@
 """Differential execution oracle.
 
 One (program, stream) pair runs through every engine backend in serial
-and batch modes — six traces — against a standalone mirror of the
-PlanPLayer's dispatch and containment semantics:
+and batch modes — six traces.  Each drives the PlanPLayer's dispatch
+core (:mod:`repro.runtime.dispatch`) — the same classification,
+grouping and containment code a router runs — and records its outcomes
+per packet:
 
-* classification uses the same (channel tag, transport class) match
-  table with payload-length admission, first declared overload wins;
-* decode errors are contained per packet (outcome ``decode:<err>``)
-  exactly like the layer's reason="decode" path;
-* contained runtime errors (``PlanPError``/``CodecError``) commit
-  nothing and record the exception name, mirroring reason="runtime";
-* the batch mode replays the layer's :class:`BatchFault` recovery:
-  prefix commit, contained faulted row, sub-batch resume, and the
-  per-packet fallback when batch decode fails before row zero;
+* ``pass`` for a packet the match table sends to standard IP;
+* ``decode`` for a contained decode error (``decode-leak:<err>`` if the
+  decoder raised outside the codec error taxonomy);
+* ``err:<name>`` for a contained runtime error, which commits nothing;
+* the batch mode feeds the whole stream to the core as one router
+  drain: unmatched packets pass at once, matched ones run in the
+  core's same-hit runs, under its :class:`BatchFault` recovery;
 * any *other* exception is an uncontained leak — the thing that would
   take a router down — and is recorded on the trace as ``crash``.
+
+What stays here is oracle-specific: the recording context,
+install-time containment, the outcome strings and the :class:`Trace`.
 
 Two traces are equal iff their final protocol state, per-channel
 states, per-packet outcome strings, emission streams, console output,
@@ -29,10 +32,9 @@ from dataclasses import dataclass
 from ..interp import RecordingContext
 from ..interp.values import PlanPList, PlanPTable, default_value
 from ..jit import make_engine
-from ..jit.batching import BatchFault, run_rows
 from ..lang.errors import PlanPError, PlanPRuntimeError
 from ..net.addresses import HostAddr
-from ..runtime import codec
+from ..runtime import codec, dispatch
 from .streams import PacketSpec
 
 DEFAULT_BACKENDS = ("interpreter", "closure", "source")
@@ -113,26 +115,17 @@ def _err_name(err: Exception) -> str:
 
 
 class _Runner:
-    """One trace execution: engine + mirrored layer semantics."""
+    """One trace execution: an engine on a recording context, driven
+    through the dispatch core the way a router's PlanP layer drives it."""
 
     def __init__(self, info, backend: str, *, seed: int = 7,
                  batch_size: int = 4):
-        self.info = info
         self.batch_size = batch_size
         self.ctx = RecordingContext(seed=seed)
         self.crash: str | None = None
         self.outcomes: list[str] = []
         self.channels = info.all_channels()
-        # (tag, transport class) -> [(decl, plan)] in declaration order,
-        # the PlanPLayer._build_dispatch_table shape.
-        self.table: dict[tuple, list[tuple]] = {}
-        for decl in self.channels:
-            plan = codec.dispatch_plan(decl.packet_type)
-            if plan is None:
-                continue
-            tag = None if decl.name == "network" else decl.name
-            self.table.setdefault((tag, plan.transport_cls),
-                                  []).append((decl, plan))
+        self.table = dispatch.build_table(self.channels)
         self.ps = default_value(self.channels[0].protocol_state_type)
         self.states: dict[int, object] = {}
         self.engine = None
@@ -146,125 +139,85 @@ class _Runner:
         except Exception as err:  # install-time leak
             self.crash = f"install:{type(err).__name__}"
 
-    def _lookup(self, packet):
-        key = (packet.channel, type(packet.transport))
-        for decl, plan in self.table.get(key, ()):
-            if plan.admits(len(packet.payload)):
-                return decl, plan
-        return None
-
-    def _serial_step(self, packet, hit) -> None:
-        decl, plan = hit
+    def _step(self, packet, hit) -> str:
+        """One packet through :func:`dispatch.run_serial`; its outcome."""
+        decl, decode, _plan = hit
         try:
-            value = plan.decode(packet)
-        except codec.CodecError:
-            self.outcomes.append("decode")
-            return
-        except Exception as err:
-            # The layer would contain this too, but it violates the
-            # codec error taxonomy — surface it loudly.
-            self.outcomes.append(f"decode-leak:{type(err).__name__}")
-            return
-        try:
-            ps, ss = self.engine.run_channel(
-                decl, self.ps, self.states[id(decl)], value, self.ctx)
-        except (PlanPError, codec.CodecError) as err:
-            self.outcomes.append(f"err:{_err_name(err)}")
-            return
+            reason, err, ps, ss = dispatch.run_serial(
+                self.engine.run_channel, decl, decode, self.ps,
+                self.states[id(decl)], packet, self.ctx)
         except Exception as err:
             self.crash = type(err).__name__
-            self.outcomes.append(f"leak:{type(err).__name__}")
-            return
-        self.ps = ps
-        self.states[id(decl)] = ss
-        self.outcomes.append("ok")
+            return f"leak:{self.crash}"
+        if reason is None:
+            self.ps = ps
+            self.states[id(decl)] = ss
+            return "ok"
+        if reason is dispatch.DECODE:
+            if isinstance(err, codec.CodecError):
+                return "decode"
+            # The layer contains this too, but it violates the codec
+            # error taxonomy — surface it loudly.
+            return f"decode-leak:{type(err).__name__}"
+        return f"err:{_err_name(err)}"
 
     def run_serial(self, packets) -> None:
         for packet in packets:
             if self.crash:
                 return
-            hit = self._lookup(packet)
-            if hit is None:
-                self.outcomes.append("pass")
-                continue
-            self._serial_step(packet, hit)
-
-    def _runs(self, packets):
-        """Maximal same-entry runs, the classify_batches grouping: a
-        run extends only over packets with the head's transport class,
-        channel tag, and payload length, capped at batch_size."""
-        n = len(packets)
-        i = 0
-        while i < n:
-            p = packets[i]
-            hit = self._lookup(p)
-            if hit is None:
-                yield None, [p]
-                i += 1
-                continue
-            tcls = p.transport.__class__
-            plen = len(p.payload)
-            j = i + 1
-            while (j < min(n, i + self.batch_size)
-                   and packets[j].transport.__class__ is tcls
-                   and packets[j].channel == p.channel
-                   and len(packets[j].payload) == plen):
-                j += 1
-            yield hit, packets[i:j]
-            i = j
+            hit = dispatch.classify(self.table, packet)
+            self.outcomes.append(
+                "pass" if hit is None else self._step(packet, hit))
 
     def run_batch(self, packets) -> None:
-        for hit, run_pkts in self._runs(packets):
+        """The whole stream arrives in one event, as a router's batch
+        drain sees it: unmatched packets pass to standard IP at once,
+        matched ones drain in the core's same-hit runs."""
+        slots: list[str | None] = ["pass"] * len(packets)
+        pending = []
+        for i, packet in enumerate(packets):
+            hit = dispatch.classify(self.table, packet)
+            if hit is not None:
+                slots[i] = None
+                pending.append((i, packet, hit))
+        for i, j in dispatch.runs(pending, self.batch_size):
             if self.crash:
-                return
-            if hit is None:
-                self.outcomes.append("pass")
-                continue
-            if len(run_pkts) == 1:
-                self._serial_step(run_pkts[0], hit)
-                continue
-            self._run_batch(run_pkts, hit)
-
-    def _run_batch(self, packets, hit) -> None:
-        decl, plan = hit
-        run = getattr(self.engine, "run_channel_batch", None)
-        n = len(packets)
-        start = 0
-        while start < n:
-            batch = plan.batch_decoder().batch(packets[start:])
-            try:
-                if run is not None:
-                    ps, ss = run(decl, self.ps, self.states[id(decl)],
-                                 batch, self.ctx)
-                else:
-                    ps, ss = run_rows(self.engine.run_channel, decl,
-                                      self.ps, self.states[id(decl)],
-                                      batch, self.ctx)
-            except BatchFault as fault:
-                self.outcomes.extend(["ok"] * fault.index)
-                self.ps = fault.ps
-                self.states[id(decl)] = fault.ss
-                err = fault.err
-                if not isinstance(err, (PlanPError, codec.CodecError)):
-                    self.crash = type(err).__name__
-                    self.outcomes.append(f"leak:{type(err).__name__}")
-                    return
-                self.outcomes.append(f"err:{_err_name(err)}")
-                start += fault.index + 1
-            except Exception:
-                # Batch decode/setup failed before row zero: the layer
-                # replays the rest per packet, locating the malformed
-                # row(s) with serial-identical containment.
-                for packet in packets[start:]:
-                    if self.crash:
-                        return
-                    self._serial_step(packet, (decl, plan))
-                return
+                break
+            if j - i == 1:
+                index, packet, hit = pending[i]
+                slots[index] = self._step(packet, hit)
             else:
-                self.outcomes.extend(["ok"] * (n - start))
-                self.ps = ps
-                self.states[id(decl)] = ss
-                return
+                self._run_batch(pending[i:j], slots)
+        if self.crash:
+            # Serial execution stops at the crash; so does the trace.
+            del slots[slots.index(f"leak:{self.crash}") + 1:]
+        self.outcomes.extend(slots)
+
+    def _run_batch(self, run: list, slots: list) -> None:
+        decl, _decode, plan = run[0][2]
+        steps = dispatch.run_batch(self.engine, decl, plan, self.ps,
+                                   self.states[id(decl)],
+                                   [r[1] for r in run], self.ctx)
+        done = 0
+        try:
+            for step in steps:
+                if step.kind is dispatch.REPLAY:
+                    for index, packet, hit in run[step.start:]:
+                        if self.crash:
+                            return
+                        slots[index] = self._step(packet, hit)
+                    return
+                for index, _packet, _hit in run[step.start:step.end]:
+                    slots[index] = "ok"
+                self.ps = step.ps
+                self.states[id(decl)] = step.ss
+                done = step.end
+                if step.kind is dispatch.FAULT:
+                    slots[run[done][0]] = f"err:{_err_name(step.err)}"
+                    done += 1
+        except Exception as err:
+            self.crash = type(err).__name__
+            slots[run[done][0]] = f"leak:{self.crash}"
 
     def trace(self) -> Trace:
         emissions = tuple(

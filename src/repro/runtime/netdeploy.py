@@ -485,8 +485,6 @@ class _TargetTransfer:
 class DeploymentManager:
     """Pushes programs to DeploymentServices across the network."""
 
-    _ids = itertools.count(1)
-
     def __init__(self, net: Network, host: Host,
                  port: int = DEPLOY_PORT,
                  policy: RetryPolicy | None = None):
@@ -494,6 +492,11 @@ class DeploymentManager:
         self.host = host
         self.port = port
         self.policy = policy or RetryPolicy()
+        #: unnamed transfer ids (``asp1``, ``asp2``, ...) count per
+        #: manager: they seed each transfer's retransmit jitter, so a
+        #: process-wide counter would make a seeded run depend on how
+        #: many pushes earlier runs in the process made
+        self._ids = itertools.count(1)
         self.pushes: dict[str, dict[HostAddr, PushStatus]] = {}
         self._socket = net.udp(host).bind()
         self._socket.on_datagram = self._on_ack

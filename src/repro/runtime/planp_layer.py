@@ -11,13 +11,14 @@ Dispatch rules (paper §2 and §2.3):
   packet type matches the wire packet;
 * unmatched packets fall through to standard IP processing.
 
-Steady-state dispatch takes a fast path precomputed at install time: a
-table keyed by (channel tag, transport-header class) maps straight to
-the candidate :class:`~repro.lang.ast.ChannelDecl`\\ s with their payload
-size constraints and prebuilt decoders, so classifying a packet is one
-dict lookup plus a length check instead of a structural type walk — and
-the decl matched in :meth:`PlanPLayer.wants` is carried into
+Classification, run grouping and containment come from the dispatch
+core (:mod:`repro.runtime.dispatch`), which the differential fuzz
+oracle drives too.  The match table is built at install time, so
+classifying a packet is one dict lookup plus a length check — and the
+hit found in :meth:`PlanPLayer.wants` is carried into
 :meth:`PlanPLayer.process`, so each packet is matched exactly once.
+This layer adapts the core's outcomes to the node: stats, ``error``
+events, the circuit-breaker feed and the standard-IP fallback.
 
 A verified program cannot raise at run time on any *delivered* path, but
 the layer still guards: if a channel invocation fails — including a
@@ -41,17 +42,14 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from ..interp.values import default_value
-from ..jit.batching import BatchFault, run_rows
 from ..jit.pipeline import Engine, LoadedProgram, load_program
 from ..lang import ast
-from ..lang import types as T
-from ..lang.errors import PlanPError
 from ..net.addresses import HostAddr
 from ..net.node import Interface, Node
 from ..net.packet import Packet
 from ..net.sim import SerialResource
 from ..obs.metrics import Histogram
-from . import codec
+from . import codec, dispatch
 
 if TYPE_CHECKING:
     from .lifecycle import NodeLifecycle
@@ -66,8 +64,6 @@ class PlanPStats:
     runtime_errors: int = 0
     #: dispatch decisions answered by the precomputed match table
     fastpath_dispatches: int = 0
-    #: dispatch decisions that fell back to the structural matcher
-    structural_dispatches: int = 0
     #: tier-3 batch executions (same-entry runs of two or more packets
     #: folded through one specialized loop)
     fastpath_batches: int = 0
@@ -92,20 +88,6 @@ class ProgramSnapshot:
 
 #: missing-channel-state sentinel (``None`` is a legal state value)
 _NO_STATE = object()
-
-
-class _DispatchEntry:
-    """One channel overload in the fast-path match table."""
-
-    __slots__ = ("decl", "plan", "hit")
-
-    def __init__(self, decl: ast.ChannelDecl, plan: codec.DispatchPlan):
-        self.decl = decl
-        self.plan = plan
-        #: the classification result handed out for every packet this
-        #: entry admits — one stable tuple, so the batch drain can group
-        #: same-entry runs by identity with no per-packet allocation
-        self.hit = (decl, plan.decode, plan)
 
 
 class PlanPLayer:
@@ -135,10 +117,9 @@ class PlanPLayer:
         #: interface; new or modified packets route normally)
         self._arrival_iface: Interface | None = None
         self._arrival_packet: Packet | None = None
-        #: fast-path match table: (channel tag, transport-header class)
-        #: -> candidate entries in declaration order
-        self._dispatch: dict[tuple[str | None, type],
-                             list[_DispatchEntry]] | None = None
+        #: the dispatch core's match table (empty when nothing is
+        #: installed)
+        self._dispatch: dispatch.Table = {}
         #: the match computed by wants(), carried into process() so a
         #: packet is classified exactly once: (packet uid, hit | None)
         self._carry: tuple[int, tuple | None] | None = None
@@ -153,10 +134,11 @@ class PlanPLayer:
         #: exclusion) and the row offset of the current sub-batch
         self._batch_chunk: list | None = None
         self._batch_base = 0
-        #: row index the engine is currently executing (engines assign
-        #: ``ctx._row`` before each row) and the last row that emitted
-        #: or delivered — together they reproduce the serial path's
-        #: "did the failed invocation already emit?" check per row
+        #: row index the engine is currently executing within the
+        #: sub-batch (engines assign ``ctx._row`` before each row) and
+        #: the chunk row that last emitted or delivered — together they
+        #: reproduce the serial path's "did the failed invocation
+        #: already emit?" check per row
         self._row = -1
         self._last_emit_row = -1
         self._batch_hist: Histogram | None = None
@@ -220,7 +202,7 @@ class PlanPLayer:
         self.channel_states = {
             id(decl): self.engine.initial_channel_state(decl, self)
             for decl in channels}
-        self._dispatch = self._build_dispatch_table(channels)
+        self._dispatch = dispatch.build_table(channels)
         self._carry = None
         # A fresh install replaces whatever was quarantined.
         self.quarantined = False
@@ -232,24 +214,6 @@ class PlanPLayer:
                             engine=type(self.engine).__name__)
         if self.lifecycle is not None:
             self.lifecycle.on_install(loaded)
-
-    def _build_dispatch_table(
-            self, channels: list[ast.ChannelDecl],
-    ) -> dict[tuple[str | None, type], list[_DispatchEntry]]:
-        """Precompute the packet-signature match table (once per
-        install, so per-packet dispatch does no structural matching)."""
-        table: dict[tuple[str | None, type], list[_DispatchEntry]] = {}
-        for decl in channels:
-            pkt_type = decl.packet_type
-            if not isinstance(pkt_type, T.TupleType):
-                continue
-            plan = codec.dispatch_plan(pkt_type)
-            if plan is None:  # malformed layout: never matches
-                continue
-            tag = None if decl.name == "network" else decl.name
-            table.setdefault((tag, plan.transport_cls),
-                             []).append(_DispatchEntry(decl, plan))
-        return table
 
     @property
     def current_sha(self) -> str | None:
@@ -264,7 +228,7 @@ class PlanPLayer:
         self.engine = None
         self.protocol_state = None
         self.channel_states = {}
-        self._dispatch = None
+        self._dispatch = {}
         self._carry = None
 
     # -- lifecycle support (rollback with state) ---------------------------------
@@ -293,7 +257,7 @@ class PlanPLayer:
             on_install(self)
         self.protocol_state = snap.protocol_state
         self.channel_states = dict(snap.channel_states)
-        self._dispatch = self._build_dispatch_table(
+        self._dispatch = dispatch.build_table(
             snap.loaded.info.all_channels())
         self._carry = None
         self.quarantined = False
@@ -308,50 +272,16 @@ class PlanPLayer:
 
     # -- dispatch -----------------------------------------------------------------
 
-    def _match(self, packet: Packet) -> ast.ChannelDecl | None:
-        if self.loaded is None:
-            return None
-        info = self.loaded.info
-        if packet.channel is not None:
-            overloads = info.channel_overloads(packet.channel)
-            for decl in overloads:
-                pkt_type = decl.packet_type
-                if isinstance(pkt_type, T.TupleType) and \
-                        codec.matches(packet, pkt_type):
-                    return decl
-            return None
-        for decl in info.channel_overloads("network"):
-            pkt_type = decl.packet_type
-            if isinstance(pkt_type, T.TupleType) and \
-                    codec.matches(packet, pkt_type):
-                return decl
-        return None
-
     def _lookup(self, packet: Packet) -> tuple | None:
-        """Classify a packet once: ``(decl, decoder | None, plan | None)``
-        or None.
-
-        The fast path answers from the precomputed table; the structural
-        matcher only runs when no table exists (a program installed by
-        poking internals rather than :meth:`install_loaded`).  Fast-path
-        hits are the entry's one stable tuple, so consecutive packets
-        admitted by the same overload compare identical by identity —
-        structural hits are fresh tuples and therefore never batch.
-        """
-        table = self._dispatch
-        if table is None:
-            self.stats.structural_dispatches += 1
-            decl = self._match(packet)
-            return None if decl is None else (decl, None, None)
-        entries = table.get((packet.channel, packet.transport.__class__))
-        if not entries:
+        """Classify a packet once: ``(decl, decode, plan)`` or None —
+        :func:`repro.runtime.dispatch.classify`, counting the packets
+        whose table key has candidate overloads."""
+        hits = self._dispatch.get(
+            (packet.channel, packet.transport.__class__))
+        if not hits:
             return None
         self.stats.fastpath_dispatches += 1
-        payload_len = len(packet.payload)
-        for entry in entries:
-            if entry.plan.admits(payload_len):
-                return entry.hit
-        return None
+        return dispatch.admit(hits, len(packet.payload))
 
     def wants(self, packet: Packet, iface: Interface | None) -> bool:
         if self.loaded is None or self.quarantined:
@@ -376,7 +306,7 @@ class PlanPLayer:
         if self.cpu.per_item_s > 0:
             self.cpu.submit(lambda: self._process_now(packet, iface, hit))
             return
-        if (self.batch_size > 1 and hit is not None and hit[2] is not None
+        if (self.batch_size > 1 and hit is not None
                 and self.profile is None):
             # Tier 3: defer to the end of the current event, so several
             # packets delivered by one scheduler activation coalesce
@@ -391,76 +321,23 @@ class PlanPLayer:
     # -- tier 3: batched execution -------------------------------------------------
 
     def _drain_batch(self) -> None:
-        """Run everything enqueued during the event that just finished:
-        maximal same-entry runs (capped at ``batch_size``) go through
-        the engine's batch loop, singletons through the per-packet path.
-        Packet order — and therefore every emission's scheduling order —
-        is exactly the enqueue order."""
+        """Run everything enqueued during the event that just finished,
+        grouped by the dispatch core's rule (maximal same-hit runs,
+        capped at ``batch_size``): runs go through the engine's batch
+        loop, singletons through the per-packet path.  Packet order —
+        and therefore every emission's scheduling order — is exactly
+        the enqueue order."""
         self._drain_scheduled = False
         pending = self._pending
         if not pending:
             return
         self._pending = []
-        limit = self.batch_size
-        n = len(pending)
-        i = 0
-        while i < n:
-            hit = pending[i][2]
-            end = i + limit
-            if end > n:
-                end = n
-            j = i + 1
-            while j < end and pending[j][2] is hit:
-                j += 1
+        for i, j in dispatch.runs(pending, self.batch_size):
             if j - i == 1:
                 packet, iface, hit = pending[i]
                 self._process_now(packet, iface, hit)
             else:
                 self._run_batch(pending[i:j])
-            i = j
-
-    def classify_batches(self, packets: list[Packet],
-                         batch_size: int = 64) -> list:
-        """The standalone tier-3 front door for a pre-queued stream:
-        split it into maximal same-entry runs of at most ``batch_size``
-        and wrap each in its lazily-decoded struct-of-arrays
-        :class:`~repro.runtime.codec.PacketBatch` — one classification
-        and one decoder setup per run instead of per packet.
-
-        A run only extends over packets with the same transport class,
-        channel tag, *and payload length* as its head: equal length
-        guarantees every overload's ``admits`` answers identically, so
-        the head's match-table entry is provably the entry each
-        follower would get.
-        """
-        out: list[tuple[ast.ChannelDecl, codec.PacketBatch]] = []
-        lookup = self._lookup
-        n = len(packets)
-        i = 0
-        while i < n:
-            p = packets[i]
-            hit = lookup(p)
-            if hit is None or hit[2] is None:
-                i += 1
-                continue
-            decl, _decoder, plan = hit
-            tcls = p.transport.__class__
-            chan = p.channel
-            plen = len(p.payload)
-            end = i + batch_size
-            if end > n:
-                end = n
-            j = i + 1
-            while j < end:
-                q = packets[j]
-                if (q.transport.__class__ is not tcls
-                        or q.channel != chan
-                        or len(q.payload) != plen):
-                    break
-                j += 1
-            out.append((decl, plan.batch_decoder().batch(packets[i:j])))
-            i = j
-        return out
 
     def _batch_histogram(self) -> Histogram | None:
         hist = self._batch_hist
@@ -473,23 +350,18 @@ class PlanPLayer:
         return hist
 
     def _run_batch(self, chunk: list) -> None:
-        """Execute one same-entry run (two or more packets) through the
-        engine's batch entry point, preserving the serial path's
-        observable behaviour packet for packet:
+        """Execute one same-entry run (two or more packets) through
+        :func:`repro.runtime.dispatch.run_batch`, accounting each step
+        exactly like the per-packet path would:
 
-        * a row that raises a contained error is accounted exactly like
-          the serial path (state committed up to it, ``_contain``, and
-          standard-IP fallback unless that row already emitted), and the
-          remaining rows resume in a fresh sub-batch — no stale
-          struct-of-arrays state survives a fault;
-        * a decode/setup failure reaches here with *zero* rows executed
-          (the :class:`BatchFault` contract), so the whole run replays
-          through the per-packet path, which locates and contains the
-          malformed packet(s);
-        * any other exception commits the completed rows and propagates,
-          as it would have from the serial path.
+        * committed rows count as processed and feed the breaker;
+        * a contained faulted row is ``_contain``\\ ed and falls back to
+          standard IP unless that row already emitted; if it tripped
+          the breaker, the rows behind it revert to standard IP, as
+          they would have failed ``wants()`` serially;
+        * a batch decode failure replays the rest per packet.
         """
-        decl, _decoder, plan = chunk[0][2]
+        decl, _decode, plan = chunk[0][2]
         engine = self.engine
         state = self.channel_states.get(id(decl), _NO_STATE)
         if engine is None or state is _NO_STATE:
@@ -504,81 +376,52 @@ class PlanPLayer:
         hist = self._batch_histogram()
         if hist is not None:
             hist.observe(len(chunk))
-        run = getattr(engine, "run_channel_batch", None)
-        packets = [c[0] for c in chunk]
         lifecycle = self.lifecycle
-        chunk_len = len(chunk)
-        start = 0
-        while start < chunk_len:
-            batch = plan.batch_decoder().batch(
-                packets[start:] if start else packets)
-            self._batch_chunk = chunk
-            self._batch_base = start
-            self._last_emit_row = -1
-            self._row = -1
-            try:
-                if run is not None:
-                    ps, ss = run(decl, self.protocol_state, state, batch,
-                                 self)
-                else:
-                    ps, ss = run_rows(engine.run_channel, decl,
-                                      self.protocol_state, state, batch,
-                                      self)
-            except BatchFault as fault:
-                # Rows before the fault committed; replay their
-                # accounting, then contain the faulted row.
-                self.stats.packets_processed += fault.index
-                self.protocol_state = fault.ps
-                self.channel_states[id(decl)] = fault.ss
-                state = fault.ss
-                if lifecycle is not None:
-                    for _ in range(fault.index):
-                        lifecycle.on_packet_ok()
-                err = fault.err
-                if not isinstance(err, (PlanPError, codec.CodecError)):
-                    raise err
-                self.stats.packets_processed += 1
-                self._contain(decl, err, reason="runtime")
-                fi = start + fault.index
-                packet_f, iface_f, _hit = chunk[fi]
-                if self._last_emit_row != fault.index:
-                    self.node.standard_processing(packet_f, iface_f)
-                start = fi + 1
-                if self.quarantined and start < chunk_len:
-                    # Serial execution re-classifies each packet, so the
-                    # ones behind a breaker trip would have failed
-                    # wants(); mirror that — including the node-level
-                    # asp_handled accounting done at enqueue time.
-                    for packet_r, iface_r, _hit2 in chunk[start:]:
-                        self.node.stats.asp_handled -= 1
-                        self.node.standard_processing(packet_r, iface_r)
+        self._batch_chunk = chunk
+        self._batch_base = 0
+        self._last_emit_row = -1
+        steps = dispatch.run_batch(engine, decl, plan, self.protocol_state,
+                                   state, [c[0] for c in chunk], self)
+        try:
+            for step in steps:
+                kind = step.kind
+                if kind is dispatch.REPLAY:
+                    for packet, iface, hit in chunk[step.start:]:
+                        self._process_now(packet, iface, hit)
                     return
-            except Exception:
-                # Decode or setup failed before any row ran: replay the
-                # rest packet by packet for serial-identical containment
-                # of the malformed packet(s).
-                for packet_r, iface_r, hit_r in chunk[start:]:
-                    self._process_now(packet_r, iface_r, hit_r)
-                return
-            else:
-                rows = chunk_len - start
+                rows = step.end - step.start
                 self.stats.packets_processed += rows
-                self.protocol_state = ps
-                self.channel_states[id(decl)] = ss
+                self.protocol_state = step.ps
+                self.channel_states[id(decl)] = step.ss
                 if lifecycle is not None:
                     for _ in range(rows):
                         lifecycle.on_packet_ok()
-                return
-            finally:
-                self._batch_chunk = None
-                self._row = -1
+                if kind is dispatch.OK:
+                    continue
+                row = step.end
+                self._batch_base = row + 1  # where the engine resumes
+                self.stats.packets_processed += 1
+                self._contain(decl, step.err, reason=dispatch.RUNTIME)
+                if self._last_emit_row != row:
+                    packet, iface, _hit = chunk[row]
+                    self.node.standard_processing(packet, iface)
+                if self.quarantined and row + 1 < len(chunk):
+                    # Undo the node-level asp_handled accounting done
+                    # at enqueue time for the rows behind the trip.
+                    for packet, iface, _hit in chunk[row + 1:]:
+                        self.node.stats.asp_handled -= 1
+                        self.node.standard_processing(packet, iface)
+                    return
+        finally:
+            self._batch_chunk = None
+            self._row = -1
 
     def _process_now(self, packet: Packet, iface: Interface | None,
                      hit: tuple | None) -> None:
         if hit is None:  # pragma: no cover - wants() gates this
             self.node.standard_processing(packet, iface)
             return
-        decl, decoder, _plan = hit
+        decl, decode, _plan = hit
         engine = self.engine
         state = self.channel_states.get(id(decl), _NO_STATE)
         if engine is None or state is _NO_STATE:
@@ -588,51 +431,39 @@ class PlanPLayer:
             # predates the change; give it standard treatment.
             self.node.standard_processing(packet, iface)
             return
-        self.stats.packets_processed += 1
-        try:
-            if decoder is not None:
-                value = decoder(packet)
-            else:
-                value = codec.decode(packet, decl.packet_type)  # type: ignore[arg-type]
-        except Exception as err:
-            # A truncated or garbage payload must not take the node
-            # down: decoding is driven entirely by wire data, so any
-            # failure here is the packet's fault, never the program's.
-            self._contain(decl, err, reason="decode")
-            self.node.standard_processing(packet, iface)
-            return
         self._arrival_iface = iface
         self._arrival_packet = packet
         emitted_before = (self.stats.packets_emitted
                           + self.stats.packets_delivered)
+        run = engine.run_channel if self.profile is None \
+            else self._profiled_run
         try:
-            if self.profile is None:
-                ps, ss = engine.run_channel(
-                    decl, self.protocol_state, state, value, self)
-            else:
-                with self.profile.time():
-                    ps, ss = engine.run_channel(
-                        decl, self.protocol_state, state, value, self)
-        except (PlanPError, codec.CodecError) as err:
-            # Fail open: the node survives and the error is visible in
-            # stats.  The packet gets standard treatment only if the
-            # failed invocation had not already emitted it - otherwise
-            # falling back would duplicate it.  CodecError covers an
-            # unverified program emitting a value that cannot be
-            # encoded — previously that escaped containment entirely.
-            self._contain(decl, err, reason="runtime")
-            emitted_after = (self.stats.packets_emitted
-                             + self.stats.packets_delivered)
-            if emitted_after == emitted_before:
-                self.node.standard_processing(packet, iface)
-            return
+            reason, err, ps, ss = dispatch.run_serial(
+                run, decl, decode, self.protocol_state, state, packet, self)
         finally:
             self._arrival_iface = None
             self._arrival_packet = None
-        self.protocol_state = ps
-        self.channel_states[id(decl)] = ss
-        if self.lifecycle is not None:
-            self.lifecycle.on_packet_ok()
+        self.stats.packets_processed += 1
+        if reason is None:
+            self.protocol_state = ps
+            self.channel_states[id(decl)] = ss
+            if self.lifecycle is not None:
+                self.lifecycle.on_packet_ok()
+            return
+        # Fail open: the node survives and the error is visible in
+        # stats.  The packet gets standard treatment unless the failed
+        # invocation had already emitted it — falling back would then
+        # duplicate it.
+        self._contain(decl, err, reason=reason)
+        if reason is dispatch.DECODE or (
+                self.stats.packets_emitted + self.stats.packets_delivered
+                == emitted_before):
+            self.node.standard_processing(packet, iface)
+
+    def _profiled_run(self, decl, ps, ss, value, ctx):
+        """``engine.run_channel`` timed into :attr:`profile`."""
+        with self.profile.time():
+            return self.engine.run_channel(decl, ps, ss, value, ctx)
 
     def _contain(self, decl: ast.ChannelDecl, err: Exception,
                  reason: str) -> None:
@@ -654,7 +485,7 @@ class PlanPLayer:
         packet = codec.encode(packet_value, channel=tag,
                               created_at=self.node.sim.now)
         self.stats.packets_emitted += 1
-        self._last_emit_row = self._row
+        self._last_emit_row = self._batch_base + self._row
         self.node.ip_send(packet,
                           exclude_iface=self._passthrough_exclusion(packet),
                           from_planp=True)
@@ -685,7 +516,7 @@ class PlanPLayer:
         packet = codec.encode(packet_value, channel=tag,
                               created_at=self.node.sim.now)
         self.stats.packets_emitted += 1
-        self._last_emit_row = self._row
+        self._last_emit_row = self._batch_base + self._row
         out = self.node.iface_toward(neighbor)
         if out is not None:
             out.send(packet)
@@ -693,7 +524,7 @@ class PlanPLayer:
     def deliver(self, packet_value: tuple) -> None:
         packet = codec.encode(packet_value, created_at=self.node.sim.now)
         self.stats.packets_delivered += 1
-        self._last_emit_row = self._row
+        self._last_emit_row = self._batch_base + self._row
         self.node.deliver_local(packet)
 
     def drop(self, packet_value: tuple) -> None:

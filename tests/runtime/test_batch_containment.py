@@ -9,6 +9,8 @@ stream, and no struct-of-arrays state leaks into the next batch.
 
 import dataclasses
 
+import pytest
+
 import repro.net.node as node_mod
 from repro.net import Network
 from repro.net.packet import tcp_packet
@@ -146,6 +148,55 @@ class TestRuntimeFaultMidBatch:
                 == getattr(serial.stats, field), field
         assert batched.protocol_state == serial.protocol_state
         assert len(got_b) == len(got_s)
+
+
+class _CrashOn:
+    """An engine that raises an uncontained error (an engine bug, not a
+    PLAN-P exception) on packets carrying one payload."""
+
+    def __init__(self, engine, payload):
+        self._engine = engine
+        self._payload = payload
+
+    def initial_channel_state(self, decl, ctx):
+        return self._engine.initial_channel_state(decl, ctx)
+
+    def run_channel(self, decl, ps, ss, value, ctx):
+        if value[2] == self._payload:
+            raise RuntimeError("engine bug")
+        return self._engine.run_channel(decl, ps, ss, value, ctx)
+
+
+class TestUncontainedErrorAccounting:
+    """An uncontained error propagates from both paths and leaves the
+    same accounting: the crashing packet is not counted as processed."""
+
+    def run_stream(self, batch_size):
+        old = node_mod.ROUTER_BATCH_SIZE
+        node_mod.ROUTER_BATCH_SIZE = batch_size
+        try:
+            net, a, r, b, layer = router_between()
+            layer.install(FORWARD)
+            layer.engine = _CrashOn(layer.engine, b"boom")
+            packets = [tcp_packet(a.address, b.address, 1, 80,
+                                  b"boom" if i == 5 else b"pay")
+                       for i in range(8)]
+            with pytest.raises(RuntimeError, match="engine bug"):
+                burst(net, layer, packets)
+            return layer
+        finally:
+            node_mod.ROUTER_BATCH_SIZE = old
+
+    def test_serial_and_batch_count_alike(self):
+        batched = self.run_stream(BATCH)
+        serial = self.run_stream(0)
+        assert batched.stats.fastpath_batches == 1
+        assert serial.stats.fastpath_batches == 0
+        assert batched.stats.packets_processed \
+            == serial.stats.packets_processed == 5
+        assert batched.protocol_state == serial.protocol_state == 5
+        assert batched.stats.runtime_errors \
+            == serial.stats.runtime_errors == 0
 
 
 class TestBreakerTripMidBatch:

@@ -72,6 +72,16 @@ class TestPush:
         net.run(until=1.0)
         assert manager.all_ok(xfer)
 
+    def test_transfer_ids_count_per_manager(self):
+        """Unnamed transfer ids seed the retransmit jitter, so a fresh
+        manager must start at ``asp1`` whatever other managers in the
+        process pushed before it."""
+        net, admin, routers, endpoint, services, manager = managed_net()
+        assert manager.push(FORWARD, [routers[0].address]) == "asp1"
+        assert manager.push(FORWARD, [routers[0].address]) == "asp2"
+        fresh = managed_net()[-1]
+        assert fresh.push(FORWARD, [routers[0].address]) == "asp1"
+
 
 class TestRejection:
     def test_unsafe_program_rejected_remotely(self):
